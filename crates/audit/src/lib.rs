@@ -52,9 +52,28 @@
 //! this auditor certifies releases produced by the paper's algorithm, and
 //! a deviation means the pipeline did something the paper's analysis does
 //! not cover.
+//!
+//! **Cost.** An audit is linear: [`PartsCtx::new`] makes one pass over the
+//! QIT's group ids and one over the ST, folding both into one per-group
+//! tally (QIT size, ST mass, largest count, Σ count²); the parts-level
+//! checks then walk that tally, and `estimator_consistency` adds one
+//! estimator scan per distinct sensitive value (λ of them). So an audit
+//! costs O(n + |ST|) plus λ estimator scans.
+//!
+//! **Exactness at Theorem 2's equality.** `Anatomize` meets the floor
+//! `n(1 − 1/l)` exactly when `l | n` (Theorem 4), so `rce_bound` compares
+//! two values that are equal in exact arithmetic. Both are computed
+//! exactly there: each group's Equation 13 term comes from
+//! [`anatomy_core::rce_group_term`], an integer numerator divided once
+//! (all counts 1 gives exactly `s − 1`), and the floor from
+//! [`anatomy_core::rce_lower_bound`] as the integer `n − n/l`. A
+//! per-tuple floating-point sum would drift below the floor at CENSUS
+//! scale and fail valid releases.
 
 mod checks;
 mod checks_incremental;
+#[cfg(test)]
+mod oracle;
 pub mod registry;
 
 pub use registry::{
@@ -543,6 +562,49 @@ mod tests {
             expected
         );
         assert!(report.check(CHECK_RCE_BOUND).unwrap().passed);
+
+        // At n = 100k, l = 10 (l | n) both sides must land exactly on
+        // Theorem 2's floor, where per-tuple float sums drift apart.
+        let (n, l) = (100_000u32, 10);
+        let schema = Schema::new(vec![
+            Attribute::numerical("Age", 100),
+            Attribute::categorical("Disease", 20),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..n {
+            b.push_row(&[i % 100, (i / 7) % 20]).unwrap();
+        }
+        let md = Microdata::with_leading_qi(b.finish(), 1).unwrap();
+        let p = anatomize(&md, &AnatomizeConfig::new(l)).unwrap();
+        let t = AnatomizedTables::publish(&md, &p, l).unwrap();
+        let report = audit_release(&t, l);
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.rce, anatomy_core::rce_of_anatomized(&t));
+        assert_eq!(report.rce, 90_000.0);
+        assert_eq!(
+            report.rce_bound,
+            anatomy_core::rce_lower_bound(n as usize, l)
+        );
+    }
+
+    #[test]
+    fn census_scale_parts_meet_theorem_2_exactly() {
+        // 10 000 groups of 10 distinct values: Theorem 4's equality case
+        // at n = 100k, l = 10.
+        let gids: Vec<GroupId> = (0..100_000u32).map(|i| i / 10).collect();
+        let st: Vec<StRecord> = (0..100_000u32)
+            .map(|i| StRecord {
+                group: i / 10,
+                value: Value(i % 10),
+                count: 1,
+            })
+            .collect();
+        let report = audit_parts(&gids, &st, 10);
+        assert!(report.passed(), "{}", report.render());
+        assert!(report.check(CHECK_RCE_BOUND).unwrap().passed);
+        assert_eq!(report.rce, 90_000.0);
+        assert_eq!(report.rce_bound, 90_000.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`crate::checks_incremental`] for the worked example).
 
 use crate::CheckOutcome;
-use anatomy_core::{AnatomizedTables, GroupId, StRecord};
+use anatomy_core::{rce_group_term, rce_lower_bound, AnatomizedTables, GroupId, StRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -90,10 +90,79 @@ impl Severity {
     }
 }
 
+/// One group's counts as the QIT and the ST each see them: everything
+/// the parts-level checks and Equation 13 need about the group.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupTally {
+    /// QIT tuples carrying the group id (0: the QIT never names it).
+    pub qit_size: u64,
+    /// ST rows naming the group (0: the ST never names it).
+    pub st_rows: u64,
+    /// Sum of the group's ST counts.
+    pub st_mass: u64,
+    /// Largest ST count in the group.
+    pub st_max: u32,
+    /// Sum of the group's squared ST counts (Equation 13's `Σc²`).
+    pub st_sum_sq: u128,
+}
+
+/// Per-group tallies, iterated in ascending group-id order. Ids below
+/// `n + |ST|` — every id of a well-formed release, whose ids run
+/// `0..groups` with `groups ≤ n` — index a dense vector. Larger ids occur
+/// only in corrupt parts and go to an ordered side map, so memory stays
+/// O(n + |ST|) whatever ids the parts carry.
+pub struct GroupTallies {
+    dense: Vec<GroupTally>,
+    dense_limit: usize,
+    wild: BTreeMap<GroupId, GroupTally>,
+}
+
+impl GroupTallies {
+    fn new(dense_limit: usize) -> Self {
+        GroupTallies {
+            dense: Vec::new(),
+            dense_limit,
+            wild: BTreeMap::new(),
+        }
+    }
+
+    fn slot(&mut self, g: GroupId) -> &mut GroupTally {
+        let i = g as usize;
+        if i >= self.dense_limit {
+            return self.wild.entry(g).or_default();
+        }
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, GroupTally::default());
+        }
+        &mut self.dense[i]
+    }
+
+    /// Every group either table names, in ascending id order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> {
+        self.dense
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.qit_size > 0 || t.st_rows > 0)
+            .map(|(g, t)| (g as GroupId, t))
+            .chain(self.wild.iter().map(|(&g, t)| (g, t)))
+    }
+
+    /// The groups the QIT names, in ascending id order.
+    pub fn in_qit(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> {
+        self.iter().filter(|(_, t)| t.qit_size > 0)
+    }
+
+    /// The groups the ST names, in ascending id order.
+    pub fn in_st(&self) -> impl DoubleEndedIterator<Item = (GroupId, &GroupTally)> {
+        self.iter().filter(|(_, t)| t.st_rows > 0)
+    }
+}
+
 /// Everything the check functions over raw release parts share: the
-/// parsed `(group_ids, ST, l)` triple plus the derived histograms and
-/// the achieved re-construction error. Computed once per audit, handed
-/// to every registered check.
+/// parsed `(group_ids, ST, l)` triple plus the per-group tallies and
+/// the achieved re-construction error. Computed once per audit, in one
+/// pass over the QIT ids and one over the ST, and handed to every
+/// registered check.
 pub struct PartsCtx<'a> {
     /// The QIT's group-id column, as parsed (not validated).
     pub group_ids: &'a [GroupId],
@@ -105,12 +174,8 @@ pub struct PartsCtx<'a> {
     pub n: usize,
     /// Distinct QI-groups seen in the QIT.
     pub groups: usize,
-    /// Group populations as the QIT sees them.
-    pub qit_sizes: BTreeMap<GroupId, u64>,
-    /// Per-group total ST mass.
-    pub st_mass: BTreeMap<GroupId, u64>,
-    /// Per-group maximum ST count.
-    pub st_max: BTreeMap<GroupId, u32>,
+    /// Per-group QIT populations and ST histograms.
+    pub tallies: GroupTallies,
     /// First ST ordering/duplication defect, in words.
     pub order_defect: Option<String>,
     /// First zero-count ST row, in words.
@@ -127,20 +192,15 @@ impl<'a> PartsCtx<'a> {
     /// ST records, zero counts — so the checks report instead of panic.
     pub fn new(group_ids: &'a [GroupId], st: &'a [StRecord], l: usize) -> Self {
         let n = group_ids.len();
+        let mut tallies = GroupTallies::new(n + st.len());
 
-        // Group populations as the QIT sees them. A corrupt release may
-        // use arbitrary ids, so count into a map rather than a dense
-        // vector.
-        let mut qit_sizes: BTreeMap<GroupId, u64> = BTreeMap::new();
+        // Group populations as the QIT sees them.
         for &g in group_ids {
-            *qit_sizes.entry(g).or_insert(0) += 1;
+            tallies.slot(g).qit_size += 1;
         }
-        let groups = qit_sizes.len();
 
-        // Group histograms as the ST sees them (mass and max count),
-        // plus the ST's own ordering defects.
-        let mut st_mass: BTreeMap<GroupId, u64> = BTreeMap::new();
-        let mut st_max: BTreeMap<GroupId, u32> = BTreeMap::new();
+        // Group histograms as the ST sees them, plus the ST's own
+        // ordering defects.
         let mut order_defect: Option<String> = None;
         let mut zero_count: Option<String> = None;
         for (i, r) in st.iter().enumerate() {
@@ -162,34 +222,24 @@ impl<'a> PartsCtx<'a> {
                     ));
                 }
             }
-            *st_mass.entry(r.group).or_insert(0) += r.count as u64;
-            let m = st_max.entry(r.group).or_insert(0);
-            *m = (*m).max(r.count);
+            let t = tallies.slot(r.group);
+            t.st_rows += 1;
+            t.st_mass += r.count as u64;
+            t.st_max = t.st_max.max(r.count);
+            t.st_sum_sq += (r.count as u128).pow(2);
         }
+        let groups = tallies.in_qit().count();
 
-        // Achieved RCE from the ST histograms against QIT group
-        // populations (Equations 12–13): each of the c(v) tuples
-        // carrying v in a group of size s errs by
-        // (1 − c(v)/s)² + Σ_{u≠v} (c(u)/s)².
-        let mut rce = 0.0f64;
-        for (&g, &size) in &qit_sizes {
-            let s = size as f64;
-            if size == 0 {
-                continue;
-            }
-            let records: Vec<&StRecord> = st.iter().filter(|r| r.group == g).collect();
-            let sum_sq: f64 = records
-                .iter()
-                .map(|r| (r.count as f64) * (r.count as f64))
-                .sum();
-            for r in &records {
-                let c = r.count as f64;
-                let a = 1.0 - c / s;
-                rce += c * (a * a + (sum_sq - c * c) / (s * s));
-            }
-        }
+        // Achieved RCE (Equations 12–13): each QIT group's ST histogram
+        // scored against its QIT population, in closed form. Folded from
+        // +0.0 because an empty float `sum` is −0.0, which would render
+        // as "-0.000000".
+        let rce = tallies
+            .in_qit()
+            .map(|(_, t)| rce_group_term(t.qit_size, t.st_mass, t.st_sum_sq))
+            .fold(0.0, |total, term| total + term);
         let rce_bound = if l >= 1 {
-            n as f64 * (1.0 - 1.0 / l as f64)
+            rce_lower_bound(n, l)
         } else {
             f64::INFINITY
         };
@@ -200,9 +250,7 @@ impl<'a> PartsCtx<'a> {
             l,
             n,
             groups,
-            qit_sizes,
-            st_mass,
-            st_max,
+            tallies,
             order_defect,
             zero_count,
             rce,

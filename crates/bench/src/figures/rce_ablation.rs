@@ -159,7 +159,9 @@ mod tests {
         let md = Microdata::with_leading_qi(b.finish(), 1).unwrap();
         let rows = series(&md, 1).unwrap();
         for r in &rows {
-            assert!(r.anatomize_rce + 1e-9 >= r.bound, "l={}", r.l);
+            // 240 is divisible by every l swept: Theorem 4's equality,
+            // which the closed-form RCE reproduces exactly.
+            assert_eq!(r.anatomize_rce, r.bound, "l={}", r.l);
             assert!(
                 r.anatomize_rce <= r.bound * (1.0 + 1.0 / 240.0) + 1e-9,
                 "l={}: Theorem 4 violated",

@@ -69,7 +69,7 @@ pub use diversity::{
 pub use error::CoreError;
 pub use partition::{GroupId, Partition};
 pub use published::{AnatomizedTables, StRecord};
-pub use rce::{rce_lower_bound, rce_of_anatomized, rce_of_partition};
+pub use rce::{rce_group_term, rce_lower_bound, rce_of_anatomized, rce_of_partition};
 pub use release::{parse_release, parse_release_parts, qit_to_csv, st_to_csv};
 
 /// Convenience result alias for this crate.

@@ -165,7 +165,15 @@ impl RunManifest {
     /// Capture only activity since `earlier` (one bench cell out of a
     /// longer process).
     pub fn capture_since(name: &str, registry: &Registry, earlier: &Snapshot) -> RunManifest {
-        RunManifest::from_snapshot(name, registry.enabled(), registry.snapshot().since(earlier))
+        let mut delta = registry.snapshot().since(earlier);
+        // Spans that closed before `earlier` survive `since` as zero-call
+        // entries; a run's phase tree and latency block list only the
+        // phases that ran in it.
+        delta.spans.retain(|_, s| s.calls > 0);
+        delta
+            .hists
+            .retain(|k, h| !k.starts_with("span_ns/") || h.count > 0);
+        RunManifest::from_snapshot(name, registry.enabled(), delta)
     }
 
     /// Wrap an already-taken snapshot.
@@ -651,6 +659,25 @@ fn validate_phase(node: &Json, count: &mut usize) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::Registry;
+
+    #[test]
+    fn capture_since_lists_only_phases_run_in_the_window() {
+        let r = Registry::new();
+        r.set_enabled(true);
+        {
+            let _a = r.span("earlier");
+        }
+        let before = r.snapshot();
+        let idle = RunManifest::capture_since("idle", &r, &before);
+        assert!(idle.phases().is_empty());
+        assert!(!idle.to_json().contains("\"latency\""));
+        {
+            let _b = r.span("later");
+        }
+        let busy = RunManifest::capture_since("busy", &r, &before);
+        let names: Vec<String> = busy.phases().into_iter().map(|p| p.name).collect();
+        assert_eq!(names, ["later"]);
+    }
 
     fn busy_registry() -> Registry {
         let r = Registry::new();

@@ -272,15 +272,13 @@ pub fn start_sampler_into(registry: &'static Registry, windows: Arc<Mutex<Window
     let stop = Arc::new(AtomicBool::new(false));
     let thread_windows = Arc::clone(&windows);
     let thread_stop = Arc::clone(&stop);
+    // Seed tick 0 before the thread exists, so the first real tick is a
+    // delta from the moment this function returns: a counter bumped
+    // before the sampler thread first runs still lands in a window.
+    w_lock(&windows).last = registry.snapshot();
     let handle = std::thread::Builder::new()
         .name("obs-sampler".to_string())
         .spawn(move || {
-            // Seed tick 0 so the first real tick is a proper delta
-            // from sampler start, not from process start.
-            {
-                let mut w = w_lock(&thread_windows);
-                w.last = registry.snapshot();
-            }
             let mut elapsed = Duration::ZERO;
             loop {
                 if thread_stop.load(Ordering::Acquire) {
